@@ -1,14 +1,15 @@
-// The coordinator owns a cluster campaign's authoritative state — corpus,
-// coverage, canonical VM states, journal, sampling cursor — and drives N
-// workers in lockstep epochs over TCP. It is the single-host reconciler
-// (fuzzer/parallel.go) with the VM fan-out moved across a network seam:
-// every barrier it broadcasts the previous merge's accepted entries, each
-// worker fuzzes one slice, and the returned deltas are merged in ascending
-// VM order under a global sequence counter. Worker loss is handled at the
-// barrier: the lost shard's canonical states are restored onto a surviving
-// worker, which re-runs the epoch for exactly those VMs — the re-run is
-// bit-identical to what the lost worker would have produced, so the
-// campaign's output is independent of churn.
+// The coordinator is the cluster driver of the epoch-barrier engine: it
+// holds the campaign's fuzzer.Reconciler — corpus, coverage, canonical VM
+// states, journal, sampling cursor — and drives N workers in lockstep
+// epochs over TCP, with the VM fan-out of the single-host engine moved
+// across a network seam. Every barrier it broadcasts the previous merge's
+// accepted entries, each worker fuzzes one slice, and the returned deltas
+// are validated, parsed and handed to the same Reconciler.Merge the single
+// host calls. Worker loss is handled at the barrier: the lost shard's
+// canonical states are restored onto a surviving worker, which re-runs the
+// epoch for exactly those VMs — the re-run is bit-identical to what the
+// lost worker would have produced, so the campaign's output is independent
+// of churn.
 
 package cluster
 
@@ -111,25 +112,20 @@ type Coordinator struct {
 	m     *clusterMetrics
 
 	// ctl drives online continual learning (nil for frozen-model
-	// campaigns); modelVersion is the serving checkpoint generation (the
-	// last accepted swap, 0 = initial model).
-	ctl          *online.Controller
-	modelVersion int64
+	// campaigns).
+	ctl *online.Controller
+	// rc is the barrier engine's authoritative state: canonical VM states,
+	// epoch, merge sequence, series, pending seed events, model version.
+	rc *fuzzer.Reconciler
 
-	states []fuzzer.VMState // canonical, indexed by VM id
-	epoch  int64            // last merged epoch
-	seq    int64            // reconciler merge sequence counter
 	// pendingAccepted is the last merge's outcome, broadcast at the next
 	// barrier.
 	pendingAccepted []fuzzer.Accepted
-	nextSample      int64
-	series          []fuzzer.Point
-	// pendingSeed buffers the seed pass's journal events until VM 0's
-	// first epoch delta is flushed (the single-host engine flushes VM 0's
-	// buffered events — seeds included — at its first active barrier).
-	pendingSeed []obs.Event
-	seedFlushed bool
-	resumed     bool
+	resumed         bool
+	// admitted, when set, receives one value per accepted connection; the
+	// loopback driver uses it to start workers one at a time, pinning its
+	// i-th worker to coordinator index i.
+	admitted chan<- struct{}
 }
 
 // Spec returns the campaign spec the coordinator is running — for a
@@ -143,16 +139,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	for vm := 0; vm < c.norm.VMs; vm++ {
-		c.states = append(c.states, fuzzer.InitialVMState(c.norm, vm))
-	}
-	c.nextSample = c.norm.SampleEvery
 	if c.cfg.Spec.Journal {
 		c.jn = obs.NewJournal(c.jnCap)
 	}
 	if err := c.initOnline(); err != nil {
 		return nil, err
 	}
+	c.rc = fuzzer.NewReconciler(c.norm, c.corp, c.jn, c.ctl)
 	return c, nil
 }
 
@@ -196,18 +189,11 @@ func ResumeCoordinator(cfg Config, checkpoint []byte) (*Coordinator, error) {
 		return nil, fmt.Errorf("%w: checkpoint has %d VM states for %d VMs",
 			ErrBadMessage, len(ck.States), c.norm.VMs)
 	}
-	c.states = append([]fuzzer.VMState(nil), ck.States...)
-	for vm, st := range c.states {
+	for vm, st := range ck.States {
 		if st.VM != vm {
 			return nil, fmt.Errorf("%w: checkpoint VM states out of order", ErrBadMessage)
 		}
 	}
-	c.epoch = ck.Epoch
-	c.seq = int64(ck.Seq)
-	c.nextSample = ck.NextSample
-	c.series = append([]fuzzer.Point(nil), ck.Series...)
-	c.pendingSeed = append([]obs.Event(nil), ck.PendingSeed...)
-	c.seedFlushed = ck.SeedFlushed
 	if c.cfg.Spec.Journal {
 		if ck.JournalCap > 0 {
 			c.jnCap = ck.JournalCap
@@ -217,10 +203,18 @@ func ResumeCoordinator(cfg Config, checkpoint []byte) (*Coordinator, error) {
 	if err := c.initOnline(); err != nil {
 		return nil, err
 	}
+	c.rc = fuzzer.NewReconciler(c.norm, c.corp, c.jn, c.ctl)
+	c.rc.States = append([]fuzzer.VMState(nil), ck.States...)
+	c.rc.Epoch = ck.Epoch
+	c.rc.Seq = int64(ck.Seq)
+	c.rc.NextSample = ck.NextSample
+	c.rc.Series = append([]fuzzer.Point(nil), ck.Series...)
+	c.rc.PendingSeed = append([]obs.Event(nil), ck.PendingSeed...)
+	c.rc.SeedFlushed = ck.SeedFlushed
 	if c.ctl != nil {
 		c.ctl.SetApplied(ck.OnlineApplied)
 		c.ctl.RestoreCounts(ck.OnlineRetrains, ck.OnlineSwaps, ck.OnlineSkips)
-		c.modelVersion = ck.OnlineModelVersion
+		c.rc.ModelVersion = ck.OnlineModelVersion
 		if ck.OnlinePendingVersion > 0 {
 			// Restart the in-flight retrain from the corpus publish-order
 			// prefix the original kickoff snapshotted; it produces the
@@ -414,10 +408,10 @@ func (c *Coordinator) restoreCrashes(m *DeltaMsg) error {
 		if d.CrashBase == 0 {
 			continue
 		}
-		if d.VM < 0 || d.VM >= len(c.states) {
+		if d.VM < 0 || d.VM >= len(c.rc.States) {
 			return fmt.Errorf("%w: crash base for invalid VM %d", ErrBadMessage, d.VM)
 		}
-		known := c.states[d.VM].Crashes
+		known := c.rc.States[d.VM].Crashes
 		if d.CrashBase > len(known) {
 			return fmt.Errorf("%w: crash base %d exceeds the %d known entries for VM %d",
 				ErrBadMessage, d.CrashBase, len(known), d.VM)
@@ -455,7 +449,7 @@ func (c *Coordinator) Run() (*Result, error) {
 	}
 
 	for {
-		active := c.activeVMs()
+		active := c.rc.Active()
 		if len(active) == 0 {
 			break
 		}
@@ -468,8 +462,10 @@ func (c *Coordinator) Run() (*Result, error) {
 
 // admit accepts the configured number of workers, handshakes each, and
 // deals out the VM shards: worker i owns the contiguous range
-// [i*V/W, (i+1)*V/W) (empty when V < W). Failures here are fatal — churn
-// tolerance begins once the campaign is running.
+// [i*V/W, (i+1)*V/W) (empty when V < W). Failures here are fatal: no VM
+// has run yet, so there is no canonical work to lose, and a fleet that
+// cannot complete its handshakes is a configuration fault to report rather
+// than churn to absorb. Tolerance begins with the seed pass.
 func (c *Coordinator) admit() ([]*workerConn, error) {
 	if tcp, ok := c.ln.(*net.TCPListener); ok {
 		tcp.SetDeadline(time.Now().Add(c.cfg.IOTimeout))
@@ -479,6 +475,9 @@ func (c *Coordinator) admit() ([]*workerConn, error) {
 		conn, err := c.ln.Accept()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: waiting for worker %d/%d: %w", i, c.cfg.Workers, err)
+		}
+		if c.admitted != nil {
+			c.admitted <- struct{}{}
 		}
 		workers[i] = &workerConn{idx: i, conn: conn, alive: true, timeout: c.cfg.IOTimeout, m: c.m, wire: WireV1}
 	}
@@ -529,8 +528,8 @@ func (c *Coordinator) admit() ([]*workerConn, error) {
 		a := Assign{
 			Spec:       c.cfg.Spec,
 			VMs:        wc.vms,
-			States:     append([]fuzzer.VMState(nil), c.states[lo:hi]...),
-			StartEpoch: c.epoch,
+			States:     append([]fuzzer.VMState(nil), c.rc.States[lo:hi]...),
+			StartEpoch: c.rc.Epoch,
 			SeedPass:   !c.resumed && lo <= 0 && 0 < hi,
 		}
 		if c.resumed {
@@ -562,8 +561,11 @@ func (c *Coordinator) admit() ([]*workerConn, error) {
 // seedPhase runs a fresh campaign's seed pass: the worker owning VM 0
 // executes the seed corpus against its replica and ships the seeded entries,
 // which become the first barrier's broadcast so every replica starts
-// identical. Seed insertions happen outside the reconciler (no sequence
-// numbers), as in the single-host engine.
+// identical. The pass is a pure function of the spec and VM 0's initial
+// state, so losing its worker is ordinary churn: VM 0's initial state is
+// restored onto the lowest-indexed survivor, which runs the pass instead,
+// and the lost worker's other VMs are reassigned at the first barrier like
+// any lost shard's.
 func (c *Coordinator) seedPhase(workers []*workerConn) error {
 	var owner *workerConn
 	for _, wc := range workers {
@@ -574,60 +576,81 @@ func (c *Coordinator) seedPhase(workers []*workerConn) error {
 	if owner == nil {
 		return fmt.Errorf("cluster: no worker owns VM 0")
 	}
-	m, err := owner.recvDelta(0)
-	if err != nil {
-		return fmt.Errorf("cluster: seed pass: %w", err)
+	for {
+		m, err := owner.recvDelta(0)
+		if err == nil {
+			return c.seed(m)
+		}
+		c.loseWorker(owner, err)
+		if owner = c.restoreSeedPass(workers); owner == nil {
+			return fmt.Errorf("cluster: all workers lost during the seed pass: %w", err)
+		}
 	}
-	if len(m.Deltas) != 1 || m.Deltas[0].VM != 0 {
+}
+
+// restoreSeedPass hands VM 0's initial state to the lowest-indexed
+// surviving worker with a frameSeed request to run the seed pass. It
+// returns that worker, or nil when none is left.
+func (c *Coordinator) restoreSeedPass(workers []*workerConn) *workerConn {
+	msg := RestoreMsg{States: []fuzzer.VMState{c.rc.States[0]}}
+	for _, wc := range workers {
+		if !wc.alive {
+			continue
+		}
+		if err := wc.send(frameSeed, wc.wire.AppendRestore(nil, msg)); err != nil {
+			c.loseWorker(wc, err)
+			continue
+		}
+		c.logf("seed pass: restoring VM 0 onto worker %d", wc.idx)
+		c.m.reassignments.Inc()
+		wc.vms = append(wc.vms, 0)
+		return wc
+	}
+	return nil
+}
+
+// seed validates the seed delta and records it with the reconciler.
+func (c *Coordinator) seed(m DeltaMsg) error {
+	if len(m.Deltas) != 1 || m.Deltas[0].VM != 0 || m.Deltas[0].State.VM != 0 {
 		return fmt.Errorf("%w: seed delta must carry exactly VM 0", ErrBadMessage)
 	}
 	if err := c.restoreCrashes(&m); err != nil {
 		return err
 	}
-	d := m.Deltas[0]
-	for _, l := range d.Locals {
-		if err := c.insertSeed(l); err != nil {
-			return err
-		}
-		c.pendingAccepted = append(c.pendingAccepted, fuzzer.Accepted{VM: 0, Seeded: true, Text: l.Text, Traces: l.Traces})
-	}
-	c.pendingSeed = d.Events
-	c.states[0] = d.State
-	c.m.accepted.Add(int64(len(d.Locals)))
-	return nil
-}
-
-func (c *Coordinator) insertSeed(l fuzzer.Local) error {
-	if err := validateTraces(c.k, l.Traces); err != nil {
+	cb, err := c.contribution(m.Deltas[0])
+	if err != nil {
 		return err
 	}
-	p, err := prog.Parse(c.k.Target, l.Text)
-	if err != nil {
-		return fmt.Errorf("%w: unparseable program: %v", ErrBadMessage, err)
-	}
-	c.corp.SeedEntry(corpus.EntryFromTraces(p, l.Traces))
+	c.pendingAccepted = c.rc.Seed(cb)
+	c.m.accepted.Add(int64(len(c.pendingAccepted)))
 	return nil
 }
 
-// activeVMs returns the VMs with remaining budget, ascending.
-func (c *Coordinator) activeVMs() []int {
-	var out []int
-	for vm := range c.states {
-		if c.states[vm].Cost < c.states[vm].Budget {
-			out = append(out, vm)
+// contribution validates and parses one wire delta into merge form.
+func (c *Coordinator) contribution(d fuzzer.VMDelta) (fuzzer.Contribution, error) {
+	cb := fuzzer.Contribution{VM: d.VM, Events: d.Events, State: d.State}
+	for _, l := range d.Locals {
+		if err := validateTraces(c.k, l.Traces); err != nil {
+			return cb, err
 		}
+		p, err := prog.Parse(c.k.Target, l.Text)
+		if err != nil {
+			return cb, fmt.Errorf("%w: unparseable program: %v", ErrBadMessage, err)
+		}
+		cb.Entries = append(cb.Entries, fuzzer.LocalEntry{Entry: corpus.EntryFromTraces(p, l.Traces), Seeded: l.Seeded})
 	}
-	return out
+	return cb, nil
 }
 
 // runEpochBarrier executes one epoch: broadcast, collect, reassign lost
 // shards, merge, journal, sample, checkpoint.
 func (c *Coordinator) runEpochBarrier(workers []*workerConn, active []int) error {
-	c.epoch++
+	c.rc.Epoch++
+	epoch := c.rc.Epoch
 	// The broadcast is encoded lazily once per wire version present in the
 	// fleet, so a mixed-version fleet pays one encode per codec, not per
 	// worker.
-	em := EpochMsg{Epoch: c.epoch, Accepted: c.pendingAccepted}
+	em := EpochMsg{Epoch: epoch, Accepted: c.pendingAccepted}
 	var perWire [wireMax + 1][]byte
 	payloadFor := func(w Wire) []byte {
 		if perWire[w] == nil {
@@ -648,7 +671,7 @@ func (c *Coordinator) runEpochBarrier(workers []*workerConn, active []int) error
 	ran := map[int]bool{}
 	var deltas []fuzzer.VMDelta
 	collect := func(wc *workerConn) error {
-		m, err := wc.recvDelta(c.epoch)
+		m, err := wc.recvDelta(epoch)
 		if err != nil {
 			c.loseWorker(wc, err)
 			return nil // partial work is discarded; reassignment re-runs it
@@ -658,7 +681,7 @@ func (c *Coordinator) runEpochBarrier(workers []*workerConn, active []int) error
 		}
 		c.m.deltas.Inc()
 		for _, d := range m.Deltas {
-			if d.VM < 0 || d.VM >= len(c.states) || ran[d.VM] {
+			if d.VM < 0 || d.VM >= len(c.rc.States) || d.State.VM != d.VM || ran[d.VM] {
 				return fmt.Errorf("%w: delta for invalid or duplicate VM %d", ErrBadMessage, d.VM)
 			}
 			ran[d.VM] = true
@@ -698,15 +721,15 @@ func (c *Coordinator) runEpochBarrier(workers []*workerConn, active []int) error
 			}
 		}
 		if target == nil {
-			return fmt.Errorf("cluster: all workers lost at epoch %d", c.epoch)
+			return fmt.Errorf("cluster: all workers lost at epoch %d", epoch)
 		}
 		states := make([]fuzzer.VMState, 0, len(missing))
 		for _, vm := range missing {
-			states = append(states, c.states[vm])
+			states = append(states, c.rc.States[vm])
 		}
-		c.logf("epoch %d: reassigning VMs %v to worker %d", c.epoch, missing, target.idx)
+		c.logf("epoch %d: reassigning VMs %v to worker %d", epoch, missing, target.idx)
 		c.m.reassignments.Inc()
-		if err := target.send(frameRestore, target.wire.AppendRestore(nil, RestoreMsg{Epoch: c.epoch, States: states})); err != nil {
+		if err := target.send(frameRestore, target.wire.AppendRestore(nil, RestoreMsg{Epoch: epoch, States: states})); err != nil {
 			c.loseWorker(target, err)
 			continue
 		}
@@ -717,61 +740,24 @@ func (c *Coordinator) runEpochBarrier(workers []*workerConn, active []int) error
 	}
 
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].VM < deltas[j].VM })
-	if err := c.merge(deltas); err != nil {
-		return err
-	}
-	if c.ctl != nil {
-		if err := c.onlineBarrier(workers); err != nil {
+	cs := make([]fuzzer.Contribution, len(deltas))
+	for i, d := range deltas {
+		cb, err := c.contribution(d)
+		if err != nil {
 			return err
 		}
+		cs[i] = cb
+	}
+	c.pendingAccepted = c.rc.Merge(cs)
+	c.m.accepted.Add(int64(len(c.pendingAccepted)))
+	if err := c.rc.OnlineBarrier(func(sw *online.Swap) error { return c.pushModel(workers, sw) }); err != nil {
+		return err
 	}
 	c.m.epochs.Inc()
-	if c.cfg.CheckpointEvery > 0 && c.epoch%c.cfg.CheckpointEvery == 0 {
+	if c.cfg.CheckpointEvery > 0 && epoch%c.cfg.CheckpointEvery == 0 {
 		if err := c.writeCheckpoint(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// onlineBarrier runs the continual-learning schedule after the merge of
-// epoch c.epoch, mirroring the single-host engine's barrier hook event for
-// event: first resolve a due swap (pushing an accepted model fleet-wide),
-// then kick off a due retrain from the freshly merged corpus — so the
-// journal, stats and version numbering are bit-identical across engines. A
-// swap that loses the gate is journaled but not pushed; the cluster skips
-// the single-host engine's prediction drain in that case, which is
-// unobservable because every worker blocking-drains at its next epoch start
-// anyway and no model changed underneath the in-flight queries.
-func (c *Coordinator) onlineBarrier(workers []*workerConn) error {
-	if sw := c.ctl.SwapDue(c.epoch); sw != nil {
-		if sw.Accepted {
-			if err := c.pushModel(workers, sw); err != nil {
-				return err
-			}
-			// The spec's model bytes track the serving generation, so
-			// checkpoints resume onto the swapped model and late-joining
-			// state (reassigned shards) materializes it.
-			c.cfg.Spec.Model = sw.Bytes
-			c.modelVersion = sw.Version
-			c.m.modelPushes.Inc()
-		}
-		c.jn.Record(obs.Event{
-			Kind: obs.EventModelSwap, VM: -1, Epoch: c.epoch,
-			Value: sw.Version, Detail: sw.Detail(),
-		})
-	}
-	if c.ctl.ShouldKickoff(c.epoch, c.corp.Len()) {
-		entries := c.corp.Entries()
-		bases := make([]*prog.Prog, len(entries))
-		for i, e := range entries {
-			bases[i] = e.Prog
-		}
-		v := c.ctl.Kickoff(c.epoch, bases)
-		c.jn.Record(obs.Event{
-			Kind: obs.EventModelTrain, VM: -1, Epoch: c.epoch,
-			Value: v, Detail: online.KickoffDetail(len(bases)),
-		})
 	}
 	return nil
 }
@@ -784,7 +770,9 @@ func (c *Coordinator) onlineBarrier(workers []*workerConn) error {
 // server while another still has undrained queries against the old
 // generation. A worker lost mid-push is ordinary churn — its VMs are
 // reassigned at the next barrier onto a survivor holding the committed
-// model.
+// model. The spec's model bytes then track the serving generation, so
+// checkpoints resume onto the swapped model and late-joining state
+// (reassigned shards) materializes it.
 func (c *Coordinator) pushModel(workers []*workerConn, sw *online.Swap) error {
 	phase := func(frame byte, m ModelMsg) {
 		var perWire [wireMax + 1][]byte
@@ -815,11 +803,13 @@ func (c *Coordinator) pushModel(workers []*workerConn, sw *online.Swap) error {
 	phase(frameModelCommit, ModelMsg{Version: sw.Version})
 	for _, wc := range workers {
 		if wc.alive {
-			c.logf("epoch %d: model v%d (digest %s) committed fleet-wide", c.epoch, sw.Version, sw.Digest)
+			c.cfg.Spec.Model = sw.Bytes
+			c.m.modelPushes.Inc()
+			c.logf("epoch %d: model v%d (digest %s) committed fleet-wide", c.rc.Epoch, sw.Version, sw.Digest)
 			return nil
 		}
 	}
-	return fmt.Errorf("cluster: all workers lost during model push at epoch %d", c.epoch)
+	return fmt.Errorf("cluster: all workers lost during model push at epoch %d", c.rc.Epoch)
 }
 
 func (c *Coordinator) loseWorker(wc *workerConn, err error) {
@@ -829,118 +819,20 @@ func (c *Coordinator) loseWorker(wc *workerConn, err error) {
 	c.logf("worker %d lost: %v", wc.idx, err)
 }
 
-// merge applies one barrier's deltas (ascending VM order) to the
-// authoritative state, replaying the single-host reconciler: every local is
-// sequenced, accepted entries are re-gated against the shared cover, and
-// each VM's canonical state is the delta state with the coordinator-owned
-// fields (Reconciled, prediction-window resolution) overridden — the worker
-// cannot know who won the merge.
-func (c *Coordinator) merge(deltas []fuzzer.VMDelta) error {
-	winners := map[string]int{}
-	newEdges := map[int]int64{}
-	var accepted []fuzzer.Accepted
-	for _, d := range deltas {
-		for _, l := range d.Locals {
-			c.seq++
-			if err := validateTraces(c.k, l.Traces); err != nil {
-				return err
-			}
-			p, err := prog.Parse(c.k.Target, l.Text)
-			if err != nil {
-				return fmt.Errorf("%w: unparseable program: %v", ErrBadMessage, err)
-			}
-			e := corpus.EntryFromTraces(p, l.Traces)
-			if l.Seeded {
-				if c.corp.SeedEntry(e) {
-					accepted = append(accepted, fuzzer.Accepted{VM: d.VM, Seeded: true, Text: l.Text, Traces: l.Traces})
-					winners[l.Text] = d.VM
-				}
-				continue
-			}
-			if n := c.corp.AddEntry(e); n > 0 {
-				accepted = append(accepted, fuzzer.Accepted{VM: d.VM, Text: l.Text, Traces: l.Traces})
-				winners[l.Text] = d.VM
-				newEdges[d.VM] += int64(n)
-			}
-		}
-	}
-	c.m.accepted.Add(int64(len(accepted)))
-
-	for _, d := range deltas {
-		st := d.State
-		st.Reconciled = c.states[st.VM].Reconciled + newEdges[st.VM]
-		var preds []fuzzer.PredState
-		for _, ps := range st.Preds {
-			if !ps.Local {
-				preds = append(preds, ps)
-				continue
-			}
-			if w, ok := winners[ps.Text]; ok && w == st.VM {
-				// The VM's own entry survived the merge; the prediction
-				// window rides along (the owning shard spliced the entry
-				// pointer back, so the live cache agrees).
-				ps.Local = false
-				preds = append(preds, ps)
-				continue
-			}
-			// The base entry lost the merge. A pending query's reply is
-			// still owed to the VM (the live worker harvests it next epoch),
-			// so a restored VM must account for it: Phantom counts replies
-			// to settle without a live channel.
-			if ps.Pending {
-				st.Phantom++
-			}
-		}
-		st.Preds = preds
-		c.states[st.VM] = st
-	}
-
-	if c.jn != nil {
-		for _, d := range deltas {
-			evs := d.Events
-			if !c.seedFlushed && d.VM == 0 {
-				evs = append(append([]obs.Event(nil), c.pendingSeed...), evs...)
-				c.pendingSeed = nil
-				c.seedFlushed = true
-			}
-			for _, e := range evs {
-				c.jn.Record(e)
-			}
-		}
-		c.jn.Record(obs.Event{
-			Kind: obs.EventEpoch, VM: -1, Epoch: c.epoch,
-			Value:  int64(c.corp.Len()),
-			Detail: fmt.Sprintf("edges=%d", c.corp.TotalEdges()),
-		})
-	}
-
-	var fleetCost int64
-	for _, st := range c.states {
-		fleetCost += st.Cost
-	}
-	if c.norm.SampleEvery > 0 {
-		for c.nextSample <= fleetCost {
-			c.series = append(c.series, fuzzer.Point{Cost: c.nextSample, Edges: c.corp.TotalEdges()})
-			c.nextSample += c.norm.SampleEvery
-		}
-	}
-	c.pendingAccepted = accepted
-	return nil
-}
-
 // checkpoint snapshots the coordinator's complete post-merge state.
 func (c *Coordinator) checkpoint() *Checkpoint {
+	rc := c.rc
 	ck := &Checkpoint{
 		Spec:        c.cfg.Spec,
-		Epoch:       c.epoch,
-		Seq:         uint64(c.seq),
-		NextSample:  c.nextSample,
-		Series:      append([]fuzzer.Point(nil), c.series...),
+		Epoch:       rc.Epoch,
+		Seq:         uint64(rc.Seq),
+		NextSample:  rc.NextSample,
+		Series:      append([]fuzzer.Point(nil), rc.Series...),
 		TotalEdges:  int64(c.corp.TotalEdges()),
 		Cover:       c.corp.TotalCover().AppendSparse(nil),
-		States:      append([]fuzzer.VMState(nil), c.states...),
-		PendingSeed: append([]obs.Event(nil), c.pendingSeed...),
-		SeedFlushed: c.seedFlushed,
+		States:      append([]fuzzer.VMState(nil), rc.States...),
+		PendingSeed: append([]obs.Event(nil), rc.PendingSeed...),
+		SeedFlushed: rc.SeedFlushed,
 		JournalCap:  c.jnCap,
 	}
 	for _, e := range c.corp.Entries() {
@@ -953,7 +845,7 @@ func (c *Coordinator) checkpoint() *Checkpoint {
 	}
 	if c.ctl != nil {
 		ck.OnlineApplied = c.ctl.Version()
-		ck.OnlineModelVersion = c.modelVersion
+		ck.OnlineModelVersion = rc.ModelVersion
 		ck.OnlineRetrains, ck.OnlineSwaps, ck.OnlineSkips = c.ctl.Stats()
 		if v, kickoff, bases, ok := c.ctl.Pending(); ok {
 			ck.OnlinePendingVersion = v
@@ -972,27 +864,30 @@ func (c *Coordinator) writeCheckpoint() error {
 		}
 	}
 	if c.cfg.OnCheckpoint != nil {
-		c.cfg.OnCheckpoint(c.epoch, data)
+		c.cfg.OnCheckpoint(c.rc.Epoch, data)
 	}
 	c.m.checkpoints.Inc()
 	c.m.checkpointSize.Set(int64(len(data)))
-	c.logf("epoch %d: checkpoint (%d bytes)", c.epoch, len(data))
+	c.logf("epoch %d: checkpoint (%d bytes)", c.rc.Epoch, len(data))
 	return nil
 }
 
-// finish drains the fleet and assembles the campaign stats exactly as the
-// single-host engine's final merge does. Workers lost before the drain get
+// finish drains the fleet and has the reconciler assemble the campaign
+// stats, as the single-host engine does. Workers lost before the drain get
 // their final states synthesized from the canonical barrier states: under
 // fault-free serving, the blocking drain only settles owed prediction
-// replies, which Phantom and the pending windows record.
+// replies, which Phantom and the pending windows record. The serving-cache
+// counters stay zero: each worker runs its own inference server, so there
+// is no fleet-wide cache to report (a documented exclusion from the
+// single-host equivalence).
 func (c *Coordinator) finish(workers []*workerConn) (*Result, error) {
 	// An in-flight retrain's swap is never applied — the campaign is over —
 	// but the trainer goroutine must not outlive the run.
 	if c.ctl != nil {
 		c.ctl.Wait()
 	}
-	finals := make([]fuzzer.VMState, len(c.states))
-	got := make([]bool, len(c.states))
+	finals := make([]fuzzer.VMState, len(c.rc.States))
+	got := make([]bool, len(c.rc.States))
 	for _, wc := range workers {
 		if !wc.alive {
 			continue
@@ -1028,26 +923,10 @@ func (c *Coordinator) finish(workers []*workerConn) (*Result, error) {
 	}
 	for vm := range finals {
 		if !got[vm] {
-			finals[vm] = synthFinal(c.states[vm])
+			finals[vm] = synthFinal(c.rc.States[vm])
 		}
 	}
-
-	// Flush seed events never attached to a VM 0 barrier (a campaign whose
-	// budget dies before VM 0's first epoch), as the single-host engine's
-	// leftover flush does.
-	if c.jn != nil && !c.seedFlushed {
-		for _, e := range c.pendingSeed {
-			c.jn.Record(e)
-		}
-		c.pendingSeed = nil
-		c.seedFlushed = true
-	}
-
-	stats := c.assembleStats(finals)
-	if c.ctl != nil {
-		stats.ModelRetrains, stats.ModelSwaps, stats.ModelSwapsSkipped = c.ctl.Stats()
-		stats.ModelVersion = c.modelVersion
-	}
+	stats := c.rc.Finish(finals)
 	c.jn.Record(obs.Event{
 		Kind: obs.EventCampaignEnd, VM: -1, Value: int64(stats.FinalEdges),
 		Detail: fmt.Sprintf("execs=%d corpus=%d", stats.Executions, stats.CorpusSize),
@@ -1058,7 +937,7 @@ func (c *Coordinator) finish(workers []*workerConn) (*Result, error) {
 		CoverDigest:  CoverDigest(c.corp),
 		Workers:      c.cfg.Workers,
 	}
-	res.Wire.Epochs = c.epoch
+	res.Wire.Epochs = c.rc.Epoch
 	for _, wc := range workers {
 		res.Wire.TxRawBytes += wc.fr.txRaw
 		res.Wire.TxWireBytes += wc.fr.txWire
@@ -1092,71 +971,4 @@ func synthFinal(st fuzzer.VMState) fuzzer.VMState {
 	}
 	st.Preds = preds
 	return st
-}
-
-// assembleStats folds the final per-VM states into a campaign Stats in
-// ascending VM order, mirroring the single-host mergeParallelStats. The
-// serving-cache counters stay zero: each worker runs its own inference
-// server, so there is no fleet-wide cache to report (a documented exclusion
-// from the single-host equivalence).
-func (c *Coordinator) assembleStats(finals []fuzzer.VMState) *fuzzer.Stats {
-	stats := &fuzzer.Stats{Mode: c.norm.Mode}
-	var fleet int64
-	for vm, st := range finals {
-		cnt := st.Counters
-		stats.Executions += cnt.Executions
-		stats.PMMQueries += cnt.PMMQueries
-		stats.PMMPredictions += cnt.PMMPredictions
-		stats.PMMFailed += cnt.PMMFailed
-		stats.PMMShed += cnt.PMMShed
-		stats.PMMInvalidSlots += cnt.PMMInvalidSlots
-		stats.DegradedSteps += cnt.DegradedSteps
-		y, o := &stats.Yield, cnt.Yield
-		y.GuidedExecs += o.GuidedExecs
-		y.GuidedEdges += o.GuidedEdges
-		y.RandArgExecs += o.RandArgExecs
-		y.RandArgEdges += o.RandArgEdges
-		y.OtherMutExecs += o.OtherMutExecs
-		y.OtherMutEdges += o.OtherMutEdges
-		y.GenerateExecs += o.GenerateExecs
-		y.GenerateEdges += o.GenerateEdges
-		for _, cr := range st.Crashes {
-			dup := false
-			for _, have := range stats.Crashes {
-				if have.Spec.Title == cr.Title {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				stats.Crashes = append(stats.Crashes, &fuzzer.CrashReport{
-					Spec: &kernel.CrashSpec{
-						Title:      cr.Title,
-						Category:   cr.Category,
-						Detector:   cr.Detector,
-						KnownSince: cr.KnownSince,
-						Flaky:      cr.Flaky,
-					},
-					ProgText: cr.ProgText,
-					Cost:     cr.Cost,
-				})
-			}
-		}
-		stats.VMs = append(stats.VMs, fuzzer.VMStat{
-			VM:          vm,
-			Executions:  cnt.Executions,
-			NewEdges:    c.states[vm].Reconciled,
-			Queries:     cnt.PMMQueries,
-			Epochs:      st.Epochs,
-			QueueWaitNs: st.QueueWaitNs,
-		})
-		fleet += st.Cost
-	}
-	stats.CorpusSize = c.corp.Len()
-	stats.FinalEdges = c.corp.TotalEdges()
-	stats.Series = append([]fuzzer.Point(nil), c.series...)
-	if len(stats.Series) == 0 || stats.Series[len(stats.Series)-1].Cost < fleet {
-		stats.Series = append(stats.Series, fuzzer.Point{Cost: fleet, Edges: stats.FinalEdges})
-	}
-	return stats
 }

@@ -1,9 +1,10 @@
-// Per-connection framing with an optional flate entropy stage. The framer
-// sits where the cluster protocol used serve.WriteFrame/ReadFrame directly:
-// it emits the same [4-byte big-endian length | type | payload] layout, but
-// a negotiated flate level lets it replace the payload with a compressed
-// form (type byte ORed with frameCompressed, payload = uvarint declared raw
-// length + one flushed chunk of the connection's deflate stream).
+// Per-connection framing with an optional flate entropy stage. Every
+// message is one [4-byte big-endian length | type | payload] frame, written
+// with a single Write call and read with io.ReadFull (so any TCP
+// segmentation reassembles identically); a negotiated flate level lets the
+// framer replace the payload with a compressed form (type byte ORed with
+// frameCompressed, payload = uvarint declared raw length + one flushed
+// chunk of the connection's deflate stream).
 //
 // Compression is streaming: each direction keeps ONE deflate stream alive
 // for the connection's lifetime and emits a sync-flushed chunk per frame,
@@ -30,9 +31,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"github.com/repro/snowplow/internal/serve"
 )
+
+// MaxFramePayload bounds every frame's payload, raw or inflated, so a
+// corrupt or hostile length prefix cannot trigger a huge allocation.
+const MaxFramePayload = 16 << 20
 
 // frameCompressed marks a frame whose payload is flate-compressed; the low
 // bits carry the ordinary frame type.
@@ -129,7 +132,7 @@ func (f *framer) msgWire() Wire {
 // receiver's decompressor window must see exactly the chunks the sender's
 // compressor window saw.
 func (f *framer) writeFrame(w io.Writer, typ byte, payload []byte) (int, error) {
-	if len(payload) > serve.MaxFramePayload {
+	if len(payload) > MaxFramePayload {
 		return 0, fmt.Errorf("cluster: frame payload %d exceeds limit", len(payload))
 	}
 	f.txRaw += int64(len(payload)) + wireFrameHeader
@@ -171,7 +174,7 @@ func (f *framer) readFrame(r io.Reader) (byte, []byte, int, error) {
 		return 0, nil, 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > serve.MaxFramePayload {
+	if n > MaxFramePayload {
 		return 0, nil, 0, fmt.Errorf("%w: frame payload %d exceeds limit", ErrBadMessage, n)
 	}
 	if cap(f.rbuf) < int(n) {
@@ -211,9 +214,9 @@ func (f *framer) inflateFrame(payload []byte) ([]byte, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: compressed frame header", ErrBadMessage)
 	}
-	if rawLen > serve.MaxFramePayload {
+	if rawLen > MaxFramePayload {
 		return nil, fmt.Errorf("%w: declared decompressed size %d exceeds cap %d",
-			ErrBadMessage, rawLen, serve.MaxFramePayload)
+			ErrBadMessage, rawLen, MaxFramePayload)
 	}
 	f.cbuf.Write(payload[n:])
 	if f.fr == nil {

@@ -81,7 +81,7 @@ func TestRestoreCrashes(t *testing.T) {
 		{Title: "KASAN: b", ProgText: "p2"},
 		{Title: "KASAN: c", ProgText: "p3"},
 	}
-	c := &Coordinator{states: []fuzzer.VMState{{}, {}, full}}
+	c := &Coordinator{rc: &fuzzer.Reconciler{States: []fuzzer.VMState{{}, {}, full}}}
 
 	trimmed := full
 	trimmed.Crashes = []fuzzer.CrashState{{Title: "KASAN: d", ProgText: "p4"}}

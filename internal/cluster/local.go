@@ -38,9 +38,11 @@ func RunLocal(cfg Config, workers int, wopts WorkerOptions) (*Result, error) {
 }
 
 // RunLocalOpts is RunLocal with per-worker options: worker i runs with
-// wopts[i], so a single fleet can mix configurations — legacy-wire workers
-// beside current ones, fused beside unfused, private serving beside shared.
-// The worker count is len(wopts).
+// wopts[i] and is the coordinator's worker i, so it owns the i-th VM shard
+// (worker 0 owns VM 0 and runs the seed pass). A single fleet can mix
+// configurations — legacy-wire workers beside current ones, fused beside
+// unfused, private serving beside shared — and a fault can be pinned on a
+// chosen worker. The worker count is len(wopts).
 func RunLocalOpts(cfg Config, wopts []WorkerOptions) (*Result, error) {
 	cfg.Workers = len(wopts)
 	co, err := NewCoordinator(cfg)
@@ -156,17 +158,41 @@ func driveLocal(co *Coordinator, sp CampaignSpec, wopts []WorkerOptions) (*Resul
 			perWorker[i].Inference = tenants[j]
 		}
 	}
+	// Workers start one at a time, each after the coordinator admitted the
+	// previous one, so worker i is coordinator index i rather than whoever
+	// dials first.
+	admitted := make(chan struct{}, workers)
+	co.admitted = admitted
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := co.Run()
+		done <- outcome{res, err}
+	}()
 	var wg sync.WaitGroup
 	workerErrs := make([]error, workers)
-	for i := 0; i < workers; i++ {
+	var out *outcome
+	for i := 0; i < workers && out == nil; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			workerErrs[i] = RunWorker(addr, perWorker[i])
 		}(i)
+		select {
+		case <-admitted:
+		case o := <-done:
+			out = &o // the coordinator gave up before admitting the fleet
+		}
 	}
-	res, err := co.Run()
+	if out == nil {
+		o := <-done
+		out = &o
+	}
 	wg.Wait()
+	res, err := out.res, out.err
 	if err != nil {
 		for i, werr := range workerErrs {
 			if werr != nil {

@@ -1,19 +1,19 @@
 // Package cluster scales a fuzzing campaign across processes: one
-// coordinator owns the authoritative corpus, coverage, journal and VM
-// states; N workers each host a fuzzer.Shard (a subset of the campaign's
-// VMs over a full corpus replica) and exchange epoch deltas over the
-// length-prefixed framing shared with the inference protocol
-// (internal/serve).
+// coordinator holds the campaign's fuzzer.Reconciler (the authoritative
+// corpus, coverage, journal and VM states); N workers each host a
+// fuzzer.Shard (a subset of the campaign's VMs over a full corpus replica)
+// and exchange epoch deltas over length-prefixed frames (framer.go).
 //
-// The protocol is the single-host reconciler stretched over TCP. Every
-// barrier the coordinator broadcasts the previous merge's accepted entries,
-// each worker applies them to its replica and fuzzes one SyncEvery slice,
-// and the coordinator merges the returned deltas in ascending VM order — so
-// a W-worker cluster is bit-identical per seed to a single host running
-// Config.VMs workers, for the same observables the single-host guarantee
-// covers (corpus, coverage, journal, counters; wall-clock waits and serving
-// cache stats excluded). Checkpoints capture the full barrier state and
-// resume onto any worker count with identical subsequent output.
+// The protocol is the single-host epoch-barrier engine stretched over TCP.
+// Every barrier the coordinator broadcasts the previous merge's accepted
+// entries, each worker applies them to its replica and fuzzes one SyncEvery
+// slice, and the coordinator hands the returned deltas to the same
+// Reconciler.Merge the single host calls — so a W-worker cluster is
+// bit-identical per seed to a single host running Config.VMs workers, for
+// the same observables the single-host guarantee covers (corpus, coverage,
+// journal, counters; wall-clock waits and serving cache stats excluded).
+// Checkpoints capture the full barrier state and resume onto any worker
+// count with identical subsequent output.
 package cluster
 
 import (

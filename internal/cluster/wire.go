@@ -36,9 +36,9 @@ import (
 // push (frameModelPrep/frameModelCommit).
 const protoVersion = 2
 
-// The cluster protocol's frame types, spanning 0x10–0x1b (disjoint from
-// the inference protocol's 0x0x range, so a cross-wired connection fails
-// fast). A frame whose type byte has frameCompressed (0x80) set carries a
+// The cluster protocol's frame types, spanning 0x10–0x1c (a connection
+// from anything that is not a cluster peer fails fast on the first type
+// byte). A frame whose type byte has frameCompressed (0x80) set carries a
 // flate-compressed payload; the low bits still name one of these types.
 const (
 	frameHello       byte = 0x10 // worker -> coordinator: version handshake
@@ -53,6 +53,7 @@ const (
 	frameModelPrep   byte = 0x19 // coordinator -> worker: drain + stage pushed model
 	frameModelCommit byte = 0x1a // coordinator -> worker: swap the staged model in
 	frameWire        byte = 0x1b // coordinator -> worker: negotiated wire settings
+	frameSeed        byte = 0x1c // coordinator -> worker: adopt VM 0 and run the seed pass
 )
 
 // Wire selects a wire codec version for the versioned Append*/Decode*

@@ -193,7 +193,7 @@ func RunWorker(addr string, opts WorkerOptions) error {
 		}
 	}
 
-	if a.SeedPass {
+	seedPass := func() error {
 		delta, err := shard.SeedPass()
 		if err != nil {
 			return sendErr(err)
@@ -201,7 +201,10 @@ func RunWorker(addr string, opts WorkerOptions) error {
 		deltas := []fuzzer.VMDelta{*delta}
 		elideCrashes(deltas)
 		encBuf = wire.AppendDelta(encBuf[:0], DeltaMsg{Epoch: 0, Deltas: deltas})
-		if err := send(frameDelta, encBuf); err != nil {
+		return send(frameDelta, encBuf)
+	}
+	if a.SeedPass {
+		if err := seedPass(); err != nil {
 			return err
 		}
 	}
@@ -260,6 +263,23 @@ func RunWorker(addr string, opts WorkerOptions) error {
 			elideCrashes(deltas)
 			encBuf = wire.AppendDelta(encBuf[:0], DeltaMsg{Epoch: m.Epoch, Deltas: deltas})
 			if err := send(frameDelta, encBuf); err != nil {
+				return err
+			}
+		case frameSeed:
+			// VM 0's first owner was lost before delivering the seed pass;
+			// this worker adopts VM 0's initial state and runs it instead.
+			m, err := wire.DecodeRestore(payload)
+			if err != nil {
+				return sendErr(err)
+			}
+			if err := shard.Restore(m.States); err != nil {
+				return sendErr(err)
+			}
+			for _, st := range m.States {
+				crashKnown[st.VM] = len(st.Crashes)
+			}
+			logf("adopting VM 0 for the seed pass")
+			if err := seedPass(); err != nil {
 				return err
 			}
 		case frameModelPrep:

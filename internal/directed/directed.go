@@ -92,8 +92,12 @@ func New(cfg Config) *Runner {
 	return r
 }
 
-// Run fuzzes until the target is covered or the budget is exhausted.
+// Run fuzzes until the target is covered or the budget is exhausted. A
+// typed-nil Server (see serve.CheckInferrer) is reported as an error.
 func (d *Runner) Run() (*Result, error) {
+	if err := serve.CheckInferrer(d.cfg.Server); err != nil {
+		return nil, fmt.Errorf("directed: Config.Server: %w", err)
+	}
 	// Seed: programs invoking the target's syscall (SyzDirect derives the
 	// relevant syscalls from its static analysis; our analysis gives the
 	// handler directly).

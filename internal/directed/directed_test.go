@@ -1,6 +1,7 @@
 package directed
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/repro/snowplow/internal/cfa"
@@ -132,5 +133,16 @@ func TestSnowplowDMode(t *testing.T) {
 	}
 	if !res.Reached {
 		t.Fatal("Snowplow-D did not reach shallow target")
+	}
+}
+
+// TestTypedNilServerRejected: a nil *serve.Server stored in Config.Server
+// makes a non-nil interface; Run must report it instead of panicking on the
+// first guided query.
+func TestTypedNilServerRejected(t *testing.T) {
+	var srv *serve.Server
+	r := New(Config{Kernel: testKernel, An: testAn, Target: shallowTarget("open"), Seed: 1, Budget: 1_000, Server: srv})
+	if _, err := r.Run(); err == nil || !strings.Contains(err.Error(), "typed-nil") {
+		t.Fatalf("Run with a typed-nil server: err = %v, want a typed-nil error", err)
 	}
 }

@@ -198,3 +198,21 @@ func TestTrainExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestBaselineHelpersRunWithoutServer runs the two helpers whose Syzkaller
+// and SyzDirect baselines pass no inference server, at a tiny budget. Both
+// take a serve.Inferrer, so the baselines' nil is a nil interface rather
+// than a typed-nil *serve.Server that crashes on first use.
+func TestBaselineHelpersRunWithoutServer(t *testing.T) {
+	opts := tinyOpts()
+	opts.FuzzBudget = 20_000
+	opts.DirectedBudget = 5_000
+	h := NewHarness(opts)
+	if tps := fuzzThroughput(h, fuzzer.ModeSyzkaller, nil); tps <= 0 {
+		t.Fatalf("syzkaller throughput %v, want > 0", tps)
+	}
+	score := h.runDirected(directedTargets(h)[0].block, nil, 1)
+	if score.Runs != 1 {
+		t.Fatalf("directed baseline ran %d campaigns, want 1", score.Runs)
+	}
+}

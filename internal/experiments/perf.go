@@ -99,7 +99,7 @@ func FuzzThroughput(h *Harness) (snowplowTPS, syzkallerTPS float64) {
 }
 
 // fuzzThroughput measures wall-clock tests/second for one mode.
-func fuzzThroughput(h *Harness, mode fuzzer.Mode, srv *serve.Server) float64 {
+func fuzzThroughput(h *Harness, mode fuzzer.Mode, srv serve.Inferrer) float64 {
 	k := h.Kernel("6.8")
 	an := h.Analysis("6.8")
 	cfg := fuzzer.Config{

@@ -179,7 +179,7 @@ func Table5(h *Harness) Table5Result {
 	return res
 }
 
-func (h *Harness) runDirected(target kernel.BlockID, srv *serve.Server, repeats int) DirectedScore {
+func (h *Harness) runDirected(target kernel.BlockID, srv serve.Inferrer, repeats int) DirectedScore {
 	k := h.Kernel("6.8")
 	an := h.Analysis("6.8")
 	var score DirectedScore

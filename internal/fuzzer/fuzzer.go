@@ -14,8 +14,10 @@
 // Campaigns scale across simulated VMs (Config.VMs): each VM worker owns
 // its execution machine, RNG and prediction window and runs the full
 // generate→exec→trace→triage loop, synchronizing with the shared corpus
-// through an epoch-barrier reconciler (see parallel.go). VMs=1 runs the
-// original sequential loop and is bit-identical to it.
+// through the epoch-barrier engine (a Shard of VM workers plus the
+// Reconciler; see parallel.go, shard.go and reconcile.go) that the cluster
+// coordinator drives too. VMs=1 runs the original sequential loop and is
+// bit-identical to it.
 package fuzzer
 
 import (
@@ -127,8 +129,8 @@ type Config struct {
 	// controller (internal/online) retrains the PMM on the campaign's own
 	// corpus at fixed epoch barriers and hot-swaps accepted checkpoints into
 	// the server at barrier epochs, without pausing VMs. Requires
-	// ModeSnowplow and a Server implementing serve.ModelSwapper (a local
-	// *serve.Server or *serve.Tenant; the TCP client cannot swap). Online
+	// ModeSnowplow and a Server implementing serve.ModelSwapper (a
+	// *serve.Server or *serve.Tenant). Online
 	// campaigns always run through the epoch-barrier engine, even at VMs=1,
 	// so the swap schedule is defined by barrier epochs.
 	Online *online.Config
@@ -304,6 +306,9 @@ type Fuzzer struct {
 	// online / swapper drive continual learning when Config.Online is set.
 	online  *online.Controller
 	swapper serve.ModelSwapper
+
+	// err is a configuration error New found; Run reports it.
+	err error
 }
 
 // worker is one simulated fuzzing VM: the full generate→exec→trace→triage
@@ -338,7 +343,7 @@ type worker struct {
 	sampleEvery int64 // sequential: series sampling period (0 = no series)
 	nextSample  int64
 
-	// Parallel-mode bookkeeping (see parallel.go).
+	// Epoch-barrier bookkeeping (see shard.go and parallel.go).
 	err          error         // first step error inside an epoch
 	epochElapsed time.Duration // wall-clock of the worker's last epoch
 	queueWaitNs  int64         // accumulated barrier wait
@@ -417,7 +422,8 @@ func (c Config) Normalized() Config {
 	return c
 }
 
-// New creates a fuzzer. It panics if Snowplow mode lacks a server.
+// New creates a fuzzer. It panics if Snowplow mode lacks a server; a
+// typed-nil Server (see serve.CheckInferrer) is reported by Run instead.
 func New(cfg Config) *Fuzzer {
 	if cfg.Mode == ModeSnowplow && cfg.Server == nil {
 		panic("fuzzer: Snowplow mode requires an inference server")
@@ -431,7 +437,9 @@ func New(cfg Config) *Fuzzer {
 	if cfg.Metrics != nil {
 		f.metrics = newCampaignMetrics(cfg.Metrics, f.corp)
 	}
-	if cfg.Server != nil {
+	if err := serve.CheckInferrer(cfg.Server); err != nil {
+		f.err = fmt.Errorf("fuzzer: Config.Server: %w", err)
+	} else if cfg.Server != nil {
 		if gc, ok := cfg.Server.(interface{ GraphCacheCapacity() int }); ok {
 			if capacity := gc.GraphCacheCapacity(); capacity > 0 {
 				f.cacheSim = qgraph.NewCacheSim(capacity)
@@ -469,6 +477,9 @@ func (f *Fuzzer) fallbackProb() float64 { return f.seq.fallbackProb() }
 // Run executes the campaign until the budget is exhausted and returns the
 // statistics.
 func (f *Fuzzer) Run() (*Stats, error) {
+	if f.err != nil {
+		return nil, f.err
+	}
 	f.cfg.Journal.Record(obs.Event{
 		Kind: obs.EventCampaignStart, VM: -1,
 		Detail: fmt.Sprintf("%s seed=%d vms=%d budget=%d", f.cfg.Mode, f.cfg.Seed, f.cfg.VMs, f.cfg.Budget),
@@ -529,7 +540,11 @@ func (f *Fuzzer) initOnline() error {
 
 // runSequential is the single-VM campaign: the worker is bound directly to
 // the shared corpus and merges every result immediately, exactly as the
-// original sequential loop did.
+// original sequential loop did. It stays beside the epoch-barrier engine
+// because its mid-epoch semantics are the seed-golden contract: an
+// accepted program is visible to the very next step and replies are
+// harvested as they land, where a VMs=1 barrier campaign would defer both
+// to the next barrier and so produce a different campaign.
 func (f *Fuzzer) runSequential() (*Stats, error) {
 	w := f.seq
 	w.nextSample = w.sampleEvery

@@ -12,29 +12,27 @@
 //     (Config.SyncEvery) with no shared mutable state; prediction replies
 //     are harvested only at the barrier (deferHarvest), so inference
 //     latency never leaks wall-clock ordering into the campaign.
-//   - At the barrier a reconciler merges each VM's additions into the
-//     shared corpus in ascending VM order with a global sequence counter,
-//     so acceptance (which program wins a text-dedup tie, which edges count
-//     as new) is a pure function of (epoch, VM index, local order) — never
-//     of goroutine scheduling.
+//   - At the barrier the Reconciler (reconcile.go) merges each VM's
+//     additions into the shared corpus in ascending VM order with a global
+//     sequence counter, so acceptance (which program wins a text-dedup tie,
+//     which edges count as new) is a pure function of (epoch, VM index,
+//     local order) — never of goroutine scheduling.
 //
-// The result: VMs=N campaigns are bit-reproducible for a fixed seed, VMs=1
-// runs the original sequential loop unchanged, and the only wall-clock
-// observable is the per-VM QueueWaitNs counter (explicitly excluded from
-// the determinism guarantee).
+// This file holds the VM-side epoch view and the single-host driver; the
+// cluster coordinator is the other driver of the same Shard/Reconciler
+// pair. VMs=N campaigns are bit-reproducible for a fixed seed, and the only
+// wall-clock observable is the per-VM QueueWaitNs counter (explicitly
+// excluded from the determinism guarantee). VMs=1 without online learning
+// skips the engine and runs the sequential loop (runSequential).
 
 package fuzzer
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/repro/snowplow/internal/corpus"
-	"github.com/repro/snowplow/internal/exec"
 	"github.com/repro/snowplow/internal/kernel"
-	"github.com/repro/snowplow/internal/mutation"
-	"github.com/repro/snowplow/internal/obs"
 	"github.com/repro/snowplow/internal/online"
 	"github.com/repro/snowplow/internal/prog"
 	"github.com/repro/snowplow/internal/rng"
@@ -45,13 +43,6 @@ import (
 // VM 0's stream equals the sequential campaign's stream.
 const vmSeedStride = 0x9e3779b97f4a7c15
 
-// localEntry is one program a VM accepted during the current epoch, pending
-// reconciliation.
-type localEntry struct {
-	e      *corpus.Entry
-	seeded bool // unconditional insert (seed pass), not new-edge gated
-}
-
 // epochView is a VM's frozen window onto the campaign for one epoch: the
 // shared snapshot taken at the barrier plus the VM's own additions. All
 // mutation is VM-private, so mid-epoch the fleet shares nothing mutable.
@@ -60,7 +51,7 @@ type epochView struct {
 	base   []*corpus.Entry // shared entries frozen at epoch start
 	total  *trace.Cover    // shared total cover clone + local merges
 	blocks trace.BlockSet  // shared covered blocks clone + local merges
-	locals []localEntry
+	locals []LocalEntry
 	byText map[string]bool // local text dedup for this epoch
 }
 
@@ -83,7 +74,7 @@ func (v *epochView) Choose(r *rng.Rand) *corpus.Entry {
 	if i < len(v.base) {
 		return v.base[i]
 	}
-	return v.locals[i-len(v.base)].e
+	return v.locals[i-len(v.base)].Entry
 }
 
 func (v *epochView) Add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet, traces [][]kernel.BlockID) int {
@@ -109,15 +100,15 @@ func (v *epochView) add(p *prog.Prog, cover *trace.Cover, blocks trace.BlockSet,
 	}
 	v.blocks.Merge(blocks)
 	v.byText[text] = true
-	v.locals = append(v.locals, localEntry{
-		e: &corpus.Entry{
+	v.locals = append(v.locals, LocalEntry{
+		Entry: &corpus.Entry{
 			Prog:   p,
 			Cover:  cover.Clone(),
 			Blocks: blocks.Clone(),
 			Traces: traces,
 			Text:   text,
 		},
-		seeded: seeded,
+		Seeded: seeded,
 	})
 	if seeded && n == 0 {
 		return 1 // inserted; Seed only needs a truthy result
@@ -130,275 +121,109 @@ func (v *epochView) TotalCover() *trace.Cover        { return v.total }
 func (v *epochView) HasBlock(b kernel.BlockID) bool  { return v.blocks.Has(b) }
 
 // runParallel executes the campaign on a fleet of cfg.VMs simulated VMs in
-// lockstep epochs, reconciling results deterministically.
+// lockstep epochs. It is the in-process driver of the epoch-barrier engine:
+// one Shard owns every VM, and its replica is the campaign corpus itself,
+// so the Reconciler merges the shard's entry pointers in place — no wire
+// form and no second corpus. What it adds to the shared engine is
+// single-host-only and outside every digest: the graph-cache key fold, the
+// per-VM gauges, the epoch and barrier-wait histograms, and QueueWaitNs.
 func (f *Fuzzer) runParallel() (*Stats, error) {
-	nvm := f.cfg.VMs
-	per := f.cfg.Budget / int64(nvm)
-	syncEvery := f.cfg.SyncEvery
-	if syncEvery <= 0 {
-		syncEvery = per / 32
+	sh, err := newShard(f.cfg, f.corp)
+	if err != nil {
+		return nil, err
 	}
-	if syncEvery <= 0 {
-		syncEvery = 1
+	sh.m, sh.trackKeys = f.metrics, f.cacheSim != nil
+	rc := NewReconciler(f.cfg, f.corp, f.cfg.Journal, f.online)
+	rc.blocks = &sh.blocks
+	if err := sh.Restore(rc.States); err != nil {
+		return nil, err
 	}
+	// Seed pass: VM 0 executes the seed corpus straight into the shared
+	// corpus before the first epoch, so every VM's first snapshot already
+	// contains the seeds.
+	seeds, err := sh.seedPass()
+	if err != nil {
+		return nil, err
+	}
+	rc.Seed(seeds)
 
-	vmStats := make([]Stats, nvm)
-	workers := make([]*worker, nvm)
-	for i := range workers {
-		w := &worker{
-			cfg:          &f.cfg,
-			id:           i,
-			r:            rng.New(f.cfg.Seed + vmSeedStride*uint64(i)),
-			exe:          exec.NewMachine(f.cfg.Kernel, i),
-			mut:          mutation.NewMutator(f.cfg.Kernel.Target),
-			gen:          prog.NewGenerator(f.cfg.Kernel.Target),
-			preds:        map[*corpus.Entry]*entryPrediction{},
-			crashSeen:    map[string]*CrashReport{},
-			stats:        &vmStats[i],
-			budget:       per,
-			deferHarvest: true,
-			scratchCover: trace.NewCover(),
-			m:            f.metrics,
-			jn:           f.cfg.Journal,
-			trackKeys:    f.cacheSim != nil,
-		}
-		if i == 0 {
-			w.budget += f.cfg.Budget - per*int64(nvm) // remainder to VM 0
-		}
-		workers[i] = w
-	}
 	var gauges []*vmGauges
-	if f.cfg.Metrics != nil {
-		gauges = make([]*vmGauges, nvm)
+	if f.metrics != nil {
+		gauges = make([]*vmGauges, f.cfg.VMs)
 		for i := range gauges {
 			gauges[i] = newVMGauges(f.cfg.Metrics, i)
 		}
 	}
-
-	// Seed pass: VM 0 executes the seed corpus directly into the shared
-	// corpus before the first epoch, so every VM's first snapshot already
-	// contains the seeds (as in the sequential campaign).
-	workers[0].view = &sharedView{corp: f.corp, blocks: &f.globalBlocks}
-	for _, p := range f.cfg.SeedCorpus {
-		if err := workers[0].seed(p); err != nil {
+	swap := func(sw *online.Swap) error {
+		sh.DrainPredictions()
+		if _, err := f.swapper.SwapModel(sw.Model, sw.Version); err != nil {
+			return fmt.Errorf("fuzzer: hot-swap model v%d: %w", sw.Version, err)
+		}
+		return nil
+	}
+	for len(rc.Active()) > 0 {
+		rc.Epoch++
+		start := time.Now()
+		cs, err := sh.runEpoch(rc.Epoch, nil)
+		if err != nil {
 			return nil, err
 		}
-	}
-	workers[0].jevent(obs.EventSeed, int64(f.corp.Len()), "")
-
-	nextSample := f.cfg.SampleEvery
-	var seq int64     // reconciler sequence counter (merge-order audit trail)
-	var epochNo int64 // barrier count (journal epoch numbering)
-	for {
-		var active []*worker
-		for _, w := range workers {
-			if w.cost < w.budget {
-				active = append(active, w)
-			}
+		f.noteBarrier(sh, cs, time.Since(start))
+		if err := sh.ApplyAccepted(rc.Merge(cs)); err != nil {
+			return nil, err
 		}
-		if len(active) == 0 {
-			break
+		if err := rc.OnlineBarrier(swap); err != nil {
+			return nil, err
 		}
-
-		// Run the epoch: refresh views, drain last epoch's prediction
-		// replies, fuzz one SyncEvery slice of simulated cost.
-		epochNo++
-		epochStart := time.Now()
-		var wg sync.WaitGroup
-		for _, w := range active {
-			w.view = newEpochView(f.corp, &f.globalBlocks)
-			w.epoch = epochNo
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				t0 := time.Now()
-				w.harvestPending()
-				w.runEpoch(syncEvery)
-				w.epochElapsed = time.Since(t0)
-			}(w)
-		}
-		wg.Wait()
-		barrier := time.Since(epochStart)
-		for _, w := range active {
-			if w.err != nil {
-				return nil, w.err
-			}
-			w.epochs++
-			if wait := barrier - w.epochElapsed; wait > 0 {
-				w.queueWaitNs += wait.Nanoseconds()
-			}
-			if f.metrics != nil {
-				f.metrics.epochs.Inc()
-				f.metrics.epochDur.Observe(w.epochElapsed.Nanoseconds())
-				if wait := barrier - w.epochElapsed; wait > 0 {
-					f.metrics.barrierWait.Observe(wait.Nanoseconds())
-				}
-			}
-		}
-
-		// Fold each VM's buffered cache keys into the shared simulation in
-		// ascending VM order (submission order within a VM), pinning the
-		// hit/miss split to reconcile order instead of wall-clock arrival.
-		if f.cacheSim != nil {
-			for _, w := range active {
-				for _, k := range w.keyBuf {
-					f.cacheSim.Touch(k)
-				}
-				w.keyBuf = w.keyBuf[:0]
-			}
-		}
-
-		// Reconcile in ascending VM order: each VM's local additions are
-		// applied in their local order under a global sequence number, so
-		// corpus contents are a pure function of (epoch, VM, order).
-		for _, w := range active {
-			ev := w.view.(*epochView)
-			for _, la := range ev.locals {
-				seq++
-				if la.seeded {
-					if f.corp.SeedEntry(la.e) {
-						f.globalBlocks.Merge(la.e.Blocks)
-					}
-					continue
-				}
-				if n := f.corp.AddEntry(la.e); n > 0 {
-					f.globalBlocks.Merge(la.e.Blocks)
-					w.reconciled += int64(n)
-				}
-			}
-		}
-
-		// Flush each VM's buffered journal events in ascending VM order —
-		// the same deterministic order the corpus merge just used — then
-		// close the epoch with a fleet-level barrier event.
-		if f.cfg.Journal != nil {
-			for _, w := range active {
-				for _, e := range w.events {
-					f.cfg.Journal.Record(e)
-				}
-				w.events = w.events[:0]
-			}
-			f.cfg.Journal.Record(obs.Event{
-				Kind: obs.EventEpoch, VM: -1, Epoch: epochNo,
-				Value:  int64(f.corp.Len()),
-				Detail: fmt.Sprintf("edges=%d", f.corp.TotalEdges()),
-			})
-		}
-
-		// Online continual learning runs strictly after the merge and the
-		// epoch event: apply a due swap, then kick off the next retrain.
-		if f.online != nil {
-			if err := f.onlineBarrier(epochNo, workers); err != nil {
-				return nil, err
-			}
-		}
-
-		// Sample the coverage series against fleet simulated time (the sum
-		// of per-VM costs), evaluated only at barriers where the shared
-		// total is well-defined.
-		var fleetCost int64
-		for _, w := range workers {
-			fleetCost += w.cost
-		}
-		if f.cfg.SampleEvery > 0 {
-			for nextSample <= fleetCost {
-				f.stats.Series = append(f.stats.Series, Point{Cost: nextSample, Edges: f.corp.TotalEdges()})
-				nextSample += f.cfg.SampleEvery
-			}
-		}
-
-		// Refresh the live per-VM and fleet gauges for mid-campaign
-		// /metrics scrapes.
 		if f.metrics != nil {
-			f.metrics.cost.Set(fleetCost)
-			for i, w := range workers {
-				gauges[i].execs.Set(vmStats[i].Executions)
-				gauges[i].newEdges.Set(w.reconciled)
-				gauges[i].queries.Set(vmStats[i].PMMQueries)
-				gauges[i].queueWaitNs.Set(w.queueWaitNs)
+			f.metrics.cost.Set(rc.fleetCost())
+			for i, g := range gauges {
+				w := sh.workers[i]
+				g.execs.Set(w.stats.Executions)
+				g.newEdges.Set(rc.States[i].Reconciled)
+				g.queries.Set(w.stats.PMMQueries)
+				g.queueWaitNs.Set(w.queueWaitNs)
 			}
 		}
 	}
 
-	// Flush any events still buffered (possible when the budget is
-	// exhausted before the first barrier), in VM order as always.
-	if f.cfg.Journal != nil {
-		for _, w := range workers {
-			for _, e := range w.events {
-				f.cfg.Journal.Record(e)
-			}
-			w.events = w.events[:0]
+	finals := sh.FinalDrain()
+	// An in-flight retrain's swap is never applied — the campaign is over —
+	// but its goroutine must not outlive the run.
+	if f.online != nil {
+		f.online.Wait()
+	}
+	f.stats = *rc.Finish(finals)
+	f.fillCacheStats()
+	return &f.stats, nil
+}
+
+// noteBarrier records one barrier's single-host extras for the VMs that
+// ran: wall-clock barrier wait (QueueWaitNs and the epoch histograms) and
+// the graph-cache key fold. Keys fold in ascending VM order (submission
+// order within a VM), pinning the simulated hit/miss split to reconcile
+// order instead of wall-clock arrival.
+func (f *Fuzzer) noteBarrier(sh *Shard, cs []Contribution, barrier time.Duration) {
+	for _, c := range cs {
+		w := sh.workers[c.VM]
+		wait := barrier - w.epochElapsed
+		if wait > 0 {
+			w.queueWaitNs += wait.Nanoseconds()
 		}
-	}
-
-	// Blocking-drain outstanding replies (not the racy select-default
-	// drain): whether a late reply counts as a prediction or a failure must
-	// depend on its content, not on wall-clock arrival order.
-	for _, w := range workers {
-		w.harvestPending()
-	}
-
-	// Fold any cache keys still buffered (mirrors the journal flush above)
-	// and wait out an in-flight retrain: its swap is never applied — the
-	// campaign is over — but the goroutine must not outlive the run.
-	if f.cacheSim != nil {
-		for _, w := range workers {
+		if f.metrics != nil {
+			f.metrics.epochs.Inc()
+			f.metrics.epochDur.Observe(w.epochElapsed.Nanoseconds())
+			if wait > 0 {
+				f.metrics.barrierWait.Observe(wait.Nanoseconds())
+			}
+		}
+		if f.cacheSim != nil {
 			for _, k := range w.keyBuf {
 				f.cacheSim.Touch(k)
 			}
 			w.keyBuf = w.keyBuf[:0]
 		}
 	}
-	if f.online != nil {
-		f.online.Wait()
-	}
-	f.mergeParallelStats(workers, vmStats)
-	return &f.stats, nil
-}
-
-// onlineBarrier applies the continual-learning schedule at one epoch
-// barrier: hot-swap a due checkpoint generation, then kick off the next
-// retrain if this barrier is a kickoff point. Both outcomes are journaled
-// here with their canonical payloads (Swap.Detail, online.KickoffDetail),
-// and the cluster coordinator journals byte-identical records at the same
-// epochs, so swap-for-swap replay holds across engines.
-func (f *Fuzzer) onlineBarrier(epochNo int64, workers []*worker) error {
-	if sw := f.online.SwapDue(epochNo); sw != nil {
-		// Drain every VM's in-flight predictions before swapping so each
-		// query is answered by the model generation of its submission
-		// epoch. Harvested replies stay invisible until the VM's next
-		// epoch (deferHarvest), so the drain moves no information forward.
-		for _, w := range workers {
-			w.harvestPending()
-		}
-		if sw.Accepted {
-			if _, err := f.swapper.SwapModel(sw.Model, sw.Version); err != nil {
-				return fmt.Errorf("fuzzer: hot-swap model v%d: %w", sw.Version, err)
-			}
-			f.stats.ModelSwaps++
-			f.stats.ModelVersion = sw.Version
-		} else {
-			f.stats.ModelSwapsSkipped++
-		}
-		f.cfg.Journal.Record(obs.Event{
-			Kind: obs.EventModelSwap, VM: -1, Epoch: epochNo,
-			Value: sw.Version, Detail: sw.Detail(),
-		})
-	}
-	if f.online.ShouldKickoff(epochNo, f.corp.Len()) {
-		entries := f.corp.Entries()
-		bases := make([]*prog.Prog, len(entries))
-		for i, e := range entries {
-			bases[i] = e.Prog
-		}
-		v := f.online.Kickoff(epochNo, bases)
-		f.stats.ModelRetrains++
-		f.cfg.Journal.Record(obs.Event{
-			Kind: obs.EventModelTrain, VM: -1, Epoch: epochNo,
-			Value: v, Detail: online.KickoffDetail(len(bases)),
-		})
-	}
-	return nil
 }
 
 // runEpoch fuzzes until the worker has consumed one SyncEvery slice of its
@@ -413,50 +238,5 @@ func (w *worker) runEpoch(syncEvery int64) {
 			w.err = err
 			return
 		}
-	}
-}
-
-// mergeParallelStats folds the per-VM outcomes into the campaign Stats in
-// ascending VM order: sums for the scalar counters, title-deduplicated
-// crash reports, and one VMStat per VM.
-func (f *Fuzzer) mergeParallelStats(workers []*worker, vmStats []Stats) {
-	var fleet int64
-	for i, w := range workers {
-		s := &vmStats[i]
-		f.stats.Executions += s.Executions
-		f.stats.PMMQueries += s.PMMQueries
-		f.stats.PMMPredictions += s.PMMPredictions
-		f.stats.PMMFailed += s.PMMFailed
-		f.stats.PMMShed += s.PMMShed
-		f.stats.PMMInvalidSlots += s.PMMInvalidSlots
-		f.stats.DegradedSteps += s.DegradedSteps
-		f.stats.Yield.add(s.Yield)
-		for _, cr := range s.Crashes {
-			dup := false
-			for _, have := range f.stats.Crashes {
-				if have.Spec.Title == cr.Spec.Title {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				f.stats.Crashes = append(f.stats.Crashes, cr)
-			}
-		}
-		f.stats.VMs = append(f.stats.VMs, VMStat{
-			VM:          i,
-			Executions:  s.Executions,
-			NewEdges:    w.reconciled,
-			Queries:     s.PMMQueries,
-			Epochs:      w.epochs,
-			QueueWaitNs: w.queueWaitNs,
-		})
-		fleet += w.cost
-	}
-	f.stats.CorpusSize = f.corp.Len()
-	f.stats.FinalEdges = f.corp.TotalEdges()
-	f.fillCacheStats()
-	if len(f.stats.Series) == 0 || f.stats.Series[len(f.stats.Series)-1].Cost < fleet {
-		f.stats.Series = append(f.stats.Series, Point{Cost: fleet, Edges: f.stats.FinalEdges})
 	}
 }

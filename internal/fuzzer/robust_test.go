@@ -2,6 +2,7 @@ package fuzzer
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/repro/snowplow/internal/faultinject"
@@ -217,5 +218,23 @@ func TestFallbackProbRaisedWhenUnhealthy(t *testing.T) {
 	}
 	if f.stats.DegradedSteps != 1 {
 		t.Fatalf("degraded steps = %d", f.stats.DegradedSteps)
+	}
+}
+
+// TestTypedNilServerRejected: a nil *serve.Server stored in Config.Server
+// makes a non-nil interface that slips past every "no server" check. New
+// keeps its signature and must not panic; Run and NewShard report it.
+func TestTypedNilServerRejected(t *testing.T) {
+	var srv *serve.Server
+	for _, mode := range []Mode{ModeSyzkaller, ModeSnowplow} {
+		cfg := baselineConfig(61, 10_000)
+		cfg.Mode = mode
+		cfg.Server = srv
+		if _, err := New(cfg).Run(); err == nil || !strings.Contains(err.Error(), "typed-nil") {
+			t.Fatalf("%v: Run with a typed-nil server: err = %v, want a typed-nil error", mode, err)
+		}
+		if _, err := NewShard(cfg); err == nil || !strings.Contains(err.Error(), "typed-nil") {
+			t.Fatalf("%v: NewShard with a typed-nil server: err = %v, want a typed-nil error", mode, err)
+		}
 	}
 }

@@ -1,11 +1,13 @@
-// Cluster seam: a Shard runs a subset of a campaign's VM workers against a
-// local corpus replica and exports epoch deltas — the exact per-VM local
-// additions, buffered journal events and post-epoch VM state that the
-// single-host reconciler (parallel.go) consumes in-process. A coordinator
-// (internal/cluster) merges the deltas of all shards in ascending VM order
-// and broadcasts the accepted entries back, so a W-shard cluster replays
-// the same merge schedule as a single host running Config.VMs workers: the
-// corpus, coverage, journal and counters are bit-identical per seed.
+// The VM side of the epoch-barrier engine: a Shard runs a subset of a
+// campaign's VM workers against a corpus replica and exports each epoch's
+// contributions — the exact per-VM local additions, buffered journal
+// events and post-epoch VM state — for the Reconciler (reconcile.go). The
+// single host drives one in-process Shard that owns every VM and whose
+// replica is the campaign corpus itself; a cluster runs one Shard per
+// worker process and ships the contributions as wire deltas, and the
+// coordinator broadcasts the accepted entries back. Either way the merge
+// schedule is the same, so the corpus, coverage, journal and counters are
+// bit-identical per seed.
 //
 // The seam also makes VMs portable. A VMState snapshot is everything a
 // worker's future behavior depends on — mutation RNG, flaky-crash RNG,
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"github.com/repro/snowplow/internal/corpus"
 	"github.com/repro/snowplow/internal/exec"
@@ -147,7 +150,7 @@ type Accepted struct {
 
 // InitialVMState is the state of VM vm before a campaign starts: fresh RNG
 // streams, zero counters, and the VM's share of the budget (VM 0 takes the
-// division remainder, as in runParallel).
+// division remainder).
 func InitialVMState(cfg Config, vm int) VMState {
 	cfg = cfg.Normalized()
 	per := cfg.Budget / int64(cfg.VMs)
@@ -163,11 +166,11 @@ func InitialVMState(cfg Config, vm int) VMState {
 	}
 }
 
-// Shard hosts a subset of a campaign's VM workers against a full local
-// corpus replica. The coordinator drives it strictly in barrier steps:
-// ApplyAccepted (sync the replica with the last merge), then RunEpoch
-// (fuzz one slice, export deltas). A Shard is not safe for concurrent use
-// by multiple drivers.
+// Shard hosts a subset of a campaign's VM workers against a full corpus
+// replica. Its driver steps it strictly in barrier steps: ApplyAccepted
+// (sync the replica with the last merge), then RunEpoch (fuzz one slice,
+// export contributions). A Shard is not safe for concurrent use by
+// multiple drivers.
 type Shard struct {
 	cfg    Config
 	corp   *corpus.Corpus
@@ -179,16 +182,28 @@ type Shard struct {
 	// lastLocals keeps each owned VM's previous-epoch local entries until
 	// the merge outcome arrives, so accepted entries that this shard's own
 	// VM produced are spliced back with their original pointer identity.
-	lastLocals map[int][]localEntry
+	lastLocals map[int][]LocalEntry
 	syncEvery  int64
+	// m and trackKeys hand the single host's instrument bundle and
+	// cache-key buffering to every restored worker.
+	m         *campaignMetrics
+	trackKeys bool
 }
 
 // NewShard creates an empty shard for the campaign config. The config's
 // Journal, when non-nil, acts purely as a flag: shard workers buffer their
-// events for the coordinator and never record to a local journal, so any
+// events for the reconciler and never record to a local journal, so any
 // non-nil sentinel (e.g. obs.NewJournal(1)) enables event capture.
 func NewShard(cfg Config) (*Shard, error) {
+	return newShard(cfg, corpus.New())
+}
+
+// newShard creates an empty shard whose replica is corp.
+func newShard(cfg Config, corp *corpus.Corpus) (*Shard, error) {
 	cfg = cfg.Normalized()
+	if err := serve.CheckInferrer(cfg.Server); err != nil {
+		return nil, fmt.Errorf("fuzzer: shard: Config.Server: %w", err)
+	}
 	if cfg.Mode == ModeSnowplow && cfg.Server == nil {
 		return nil, fmt.Errorf("fuzzer: shard in Snowplow mode requires an inference server")
 	}
@@ -205,10 +220,10 @@ func NewShard(cfg Config) (*Shard, error) {
 	}
 	return &Shard{
 		cfg:        cfg,
-		corp:       corpus.New(),
+		corp:       corp,
 		byText:     map[string]*corpus.Entry{},
 		workers:    map[int]*worker{},
-		lastLocals: map[int][]localEntry{},
+		lastLocals: map[int][]LocalEntry{},
 		syncEvery:  syncEvery,
 	}, nil
 }
@@ -276,20 +291,12 @@ func (s *Shard) restoreWorker(st VMState) error {
 		phantom:      st.Phantom,
 		deferHarvest: true,
 		scratchCover: trace.NewCover(),
+		m:            s.m,
 		jn:           s.cfg.Journal,
+		trackKeys:    s.trackKeys,
 	}
 	for _, cs := range st.Crashes {
-		report := &CrashReport{
-			Spec: &kernel.CrashSpec{
-				Title:      cs.Title,
-				Category:   cs.Category,
-				Detector:   cs.Detector,
-				KnownSince: cs.KnownSince,
-				Flaky:      cs.Flaky,
-			},
-			ProgText: cs.ProgText,
-			Cost:     cs.Cost,
-		}
+		report := cs.report()
 		w.crashSeen[cs.Title] = report
 		stats.Crashes = append(stats.Crashes, report)
 	}
@@ -325,46 +332,62 @@ func (s *Shard) restoreWorker(st VMState) error {
 }
 
 // SeedPass runs the campaign's seed-corpus pass on VM 0 (which this shard
-// must own) directly against the replica, exactly as runParallel does
-// before the first epoch, and exports the seeded entries plus VM 0's state
-// as a delta for the coordinator to merge and broadcast.
+// must own) directly against the replica, before the first epoch, and
+// exports the seeded entries plus VM 0's state as a delta for the
+// coordinator to merge and broadcast.
 func (s *Shard) SeedPass() (*VMDelta, error) {
+	c, err := s.seedPass()
+	if err != nil {
+		return nil, err
+	}
+	d := c.delta()
+	return &d, nil
+}
+
+func (s *Shard) seedPass() (Contribution, error) {
 	w := s.workers[0]
 	if w == nil {
-		return nil, fmt.Errorf("fuzzer: seed pass requires this shard to own VM 0")
+		return Contribution{}, fmt.Errorf("fuzzer: seed pass requires this shard to own VM 0")
 	}
 	w.view = &sharedView{corp: s.corp, blocks: &s.blocks}
 	for _, p := range s.cfg.SeedCorpus {
 		if err := w.seed(p); err != nil {
-			return nil, err
+			return Contribution{}, err
 		}
 	}
 	w.jevent(obs.EventSeed, int64(s.corp.Len()), "")
-	delta := &VMDelta{VM: 0, Events: w.events}
+	c := Contribution{VM: 0, Events: w.events}
 	w.events = nil
 	for _, e := range s.corp.Entries() {
 		s.byText[e.Text] = e
-		delta.Locals = append(delta.Locals, Local{Text: e.Text, Traces: e.Traces, Seeded: true})
+		c.Entries = append(c.Entries, LocalEntry{Entry: e, Seeded: true})
 	}
-	delta.State = s.captureState(w)
-	return delta, nil
+	c.State = s.captureState(w)
+	return c, nil
 }
 
 // ApplyAccepted syncs the replica with the last barrier's merge outcome:
-// the coordinator's accepted entries, in merge order. Entries produced by a
-// VM this shard owns are spliced back with their original pointers (the
-// prediction cache keys on entry identity); everything else is rebuilt from
-// the wire form. The previous epoch's local buffers are consumed.
+// the accepted entries, in merge order. Entries produced by a VM this shard
+// owns are spliced back with their original pointers (the prediction cache
+// keys on entry identity); everything else is rebuilt from the wire form.
+// An entry already in the replica is only indexed: that is the seed
+// owner's own seeds, and every entry when the replica is the reconciler's
+// corpus (the single host), where the merge itself inserted it. The
+// previous epoch's local buffers are consumed.
 func (s *Shard) ApplyAccepted(accepted []Accepted) error {
 	for _, a := range accepted {
 		var e *corpus.Entry
-		if locals, owned := s.lastLocals[a.VM]; owned {
-			for _, la := range locals {
-				if la.e.Text == a.Text {
-					e = la.e
-					break
-				}
+		for _, l := range s.lastLocals[a.VM] {
+			if l.Entry.Text == a.Text {
+				e = l.Entry
+				break
 			}
+		}
+		if s.corp.HasText(a.Text) {
+			if e != nil {
+				s.byText[a.Text] = e
+			}
+			continue
 		}
 		if e == nil {
 			p, err := prog.Parse(s.cfg.Kernel.Target, a.Text)
@@ -378,7 +401,7 @@ func (s *Shard) ApplyAccepted(accepted []Accepted) error {
 			s.byText[e.Text] = e
 		}
 	}
-	s.lastLocals = map[int][]localEntry{}
+	clear(s.lastLocals)
 	return nil
 }
 
@@ -398,6 +421,18 @@ func (s *Shard) ApplySnapshot(entries []Accepted) error {
 // shard never delivered. Deltas are returned in ascending VM order with
 // each VM's pre-merge state.
 func (s *Shard) RunEpoch(epoch int64, only []int) ([]VMDelta, error) {
+	cs, err := s.runEpoch(epoch, only)
+	if err != nil {
+		return nil, err
+	}
+	deltas := make([]VMDelta, len(cs))
+	for i, c := range cs {
+		deltas[i] = c.delta()
+	}
+	return deltas, nil
+}
+
+func (s *Shard) runEpoch(epoch int64, only []int) ([]Contribution, error) {
 	var ws []*worker
 	if only == nil {
 		for _, id := range s.Owned() {
@@ -423,35 +458,31 @@ func (s *Shard) RunEpoch(epoch int64, only []int) ([]VMDelta, error) {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
+			t0 := time.Now()
 			w.harvestPending()
 			w.runEpoch(s.syncEvery)
+			w.epochElapsed = time.Since(t0)
 		}(w)
 	}
 	wg.Wait()
-	deltas := make([]VMDelta, 0, len(ws))
+	cs := make([]Contribution, 0, len(ws))
 	for _, w := range ws {
 		if w.err != nil {
 			return nil, w.err
 		}
 		w.epochs++
 		ev := w.view.(*epochView)
-		d := VMDelta{VM: w.id, Events: w.events}
-		w.events = nil
-		for _, la := range ev.locals {
-			d.Locals = append(d.Locals, Local{Text: la.e.Text, Traces: la.e.Traces, Seeded: la.seeded})
-		}
 		s.lastLocals[w.id] = ev.locals
-		d.State = s.captureState(w)
-		deltas = append(deltas, d)
+		cs = append(cs, Contribution{VM: w.id, Entries: ev.locals, Events: w.events, State: s.captureState(w)})
+		w.events = nil
 	}
-	return deltas, nil
+	return cs, nil
 }
 
 // DrainPredictions blocking-drains every owned VM's in-flight prediction
-// replies in ascending VM order without capturing state. The cluster model
-// hot-swap calls it before a worker's server swaps generations, so every
-// query is answered by the model generation of its submission epoch — the
-// same drain the single-host engine performs at a swap barrier. Harvested
+// replies in ascending VM order without capturing state. Both drivers call
+// it before an online swap changes the serving model, so every query is
+// answered by the model generation of its submission epoch. Harvested
 // replies stay invisible until each VM's next epoch (deferred harvest), so
 // the drain moves no information across the barrier.
 func (s *Shard) DrainPredictions() {
@@ -461,7 +492,8 @@ func (s *Shard) DrainPredictions() {
 }
 
 // FinalDrain blocking-drains every owned VM's outstanding prediction
-// replies (the end-of-campaign drain of runParallel) and returns the final
+// replies — whether a late reply counts as a prediction or a failure must
+// depend on its content, not on wall-clock arrival — and returns the final
 // states in ascending VM order.
 func (s *Shard) FinalDrain() []VMState {
 	var states []VMState
@@ -471,6 +503,21 @@ func (s *Shard) FinalDrain() []VMState {
 		states = append(states, s.captureState(w))
 	}
 	return states
+}
+
+// report rebuilds the crash report a CrashState was captured from.
+func (cs CrashState) report() *CrashReport {
+	return &CrashReport{
+		Spec: &kernel.CrashSpec{
+			Title:      cs.Title,
+			Category:   cs.Category,
+			Detector:   cs.Detector,
+			KnownSince: cs.KnownSince,
+			Flaky:      cs.Flaky,
+		},
+		ProgText: cs.ProgText,
+		Cost:     cs.Cost,
+	}
 }
 
 // captureState snapshots a worker into its portable wire form. Prediction

@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -260,8 +261,9 @@ func (h *Tenant) GraphCacheCapacity() int { return h.t.srv.GraphCacheCapacity() 
 
 // Inferrer is the inference surface campaigns program against: a dedicated
 // *Server (routing through its default tenant) or one *Tenant of a shared
-// multi-tenant server. (The TCP NetServer client is the separate Client
-// type.)
+// multi-tenant server. Serving is in-process; cluster workers materialize
+// their own server (or tenant) from the model bytes their campaign spec
+// carries.
 type Inferrer interface {
 	Infer(q Query) (Prediction, error)
 	InferAsync(q Query) (<-chan Prediction, error)
@@ -269,12 +271,25 @@ type Inferrer interface {
 	Stats() Stats
 }
 
+// CheckInferrer rejects a typed-nil Inferrer: an interface holding a nil
+// pointer (say, a nil *Server passed where an Inferrer is expected)
+// compares non-nil, slips past every "no server" check, and panics on
+// first use. A nil interface is fine and means "no inference".
+func CheckInferrer(inf Inferrer) error {
+	if inf == nil {
+		return nil
+	}
+	if v := reflect.ValueOf(inf); v.Kind() == reflect.Pointer && v.IsNil() {
+		return fmt.Errorf("typed-nil Inferrer (a nil %T); pass an untyped nil for no inference", inf)
+	}
+	return nil
+}
+
 // ModelSwapper is the optional inference surface for online continual
 // learning: an Inferrer whose serving model can be hot-swapped to a new
 // versioned checkpoint generation without pausing callers. Both *Server and
-// *Tenant implement it; the TCP Client does not (a model handle cannot cross
-// the wire — cluster workers swap their local server when the coordinator
-// pushes re-encoded weights).
+// *Tenant implement it (cluster workers swap their local server when the
+// coordinator pushes re-encoded weights).
 type ModelSwapper interface {
 	Inferrer
 	// SwapModel installs a strictly newer generation; it reports false for
